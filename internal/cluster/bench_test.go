@@ -123,3 +123,26 @@ func BenchmarkSelectSilhouetteP(b *testing.B) {
 		_ = SelectSilhouetteP(pts, results, 1)
 	}
 }
+
+// BenchmarkSweepDuplicateRows sweeps the LAMMPS-at-100ms shape: 3124
+// intervals over 5 functions with only 6 distinct rows, so the k = 7 and 8
+// arms are degenerate. It tracks the cost of ending those arms, the cliff a
+// Lloyd loop that cannot tell a rounding-level reseat from a real one falls
+// off (100 capped iterations per arm).
+func BenchmarkSweepDuplicateRows(b *testing.B) {
+	distinct := [][]float64{
+		{0.7, 0.1, 0.1, 0.1, 0},
+		{0.1, 0.7, 0.1, 0, 0.1},
+		{0.3, 0.3, 0.3, 0.1, 0},
+		{0.1, 0.1, 0.7, 0.1, 0},
+		{0.5, 0, 0.3, 0.1, 0.1},
+		{0.3, 0.1, 0, 0.3, 0.3},
+	}
+	pts := duplicateRows(distinct, []int{521, 521, 521, 521, 520, 520})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Sweep(pts, 8, Options{Seed: 1, Parallelism: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -41,6 +41,11 @@ type Result struct {
 	Iterations int
 	// Sizes counts points per cluster.
 	Sizes []int
+	// Degenerate reports that Lloyd stopped early because an empty-cluster
+	// reseat could not found a new cluster: even the farthest point already
+	// sat within the pruning margin of its centroid, so the data has fewer
+	// distinct rows than K and the arm had fit it to rounding.
+	Degenerate bool
 }
 
 // Options configures KMeans.
@@ -488,7 +493,8 @@ func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydS
 	}
 
 	iter := 0
-	for ; iter < maxIter; iter++ {
+	degenerate := false
+	for ; iter < maxIter && !degenerate; iter++ {
 		changed := assignPass()
 		if !changed && iter > 0 {
 			break
@@ -573,6 +579,14 @@ func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydS
 				copy(centroids[c], sc.prev[c*dim:(c+1)*dim])
 				continue
 			}
+			// Liveness: if even the farthest point sits within the pruning
+			// margin of its centroid, every point does — the arm has fit
+			// the data to rounding (WCSS <= n·margin²) and the reseated
+			// copy can only trade ulps with its duplicate forever. Finish
+			// this iteration's bound update, then stop.
+			if eps := pruneEps(math.Max(scale, norm(centroids[assign[far]]))); dist <= eps*eps {
+				degenerate = true
+			}
 			ps.scatter(far, centroids[c])
 			sc.taken[far] = true
 		}
@@ -625,7 +639,19 @@ func lloydScratched(ps *pointSet, centroids [][]float64, maxIter int, sc *lloydS
 			wcss += xmath.SquaredEuclidean(ps.rows[i], centroids[c])
 		}
 	}
-	return &Result{K: k, Assign: assign, Centroids: centroids, WCSS: wcss, Iterations: iter, Sizes: sizes}
+	return &Result{K: k, Assign: assign, Centroids: centroids, WCSS: wcss, Iterations: iter, Sizes: sizes, Degenerate: degenerate}
+}
+
+// norm is the Euclidean length of v. A mean of identical rows is off its row
+// by a few ulps of this magnitude, so the degenerate-arm margin covers it as
+// well as the run's distance scale — with a single distinct row every
+// distance, and hence the scale, is zero.
+func norm(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x * x
+	}
+	return math.Sqrt(s)
 }
 
 // assignScan scans every centroid exactly as the naive path does — ascending
@@ -906,6 +932,9 @@ func sweepValidated(ps *pointSet, kmax int, opts Options) ([]*Result, error) {
 			hist.Observe(time.Since(start))
 		}
 		sp.SetInt("k", int64(k)).SetFloat("wcss", res.WCSS).SetInt("iterations", int64(res.Iterations))
+		if res.Degenerate {
+			sp.SetBool("degenerate", true)
+		}
 		sp.End()
 		out[i] = res
 		return nil
