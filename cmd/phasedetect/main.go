@@ -64,7 +64,7 @@ func main() {
 	selection := flag.String("selection", "elbow", "k selection: elbow or silhouette")
 	algorithm := flag.String("algorithm", "kmeans", "clustering: kmeans or dbscan")
 	seed := flag.Uint64("seed", 1, "clustering seed")
-	parallel := flag.Int("parallel", 0, "worker-pool bound for differencing and the k-means sweep; 0 means GOMAXPROCS, 1 forces serial (results are identical either way)")
+	parallel := flag.Int("parallel", 0, "worker-pool bound for dump decode, differencing and the k-means sweep; 0 means GOMAXPROCS, 1 forces serial (results are identical either way)")
 	includeMPI := flag.Bool("include-mpi", false, "keep MPI pseudo-functions in the feature space")
 	fast := flag.Bool("fast", false, "also run fast-phase analysis (call-count loop grouping + periodicity)")
 	onlineFlag := flag.Bool("online", false, "also replay the intervals through the streaming phase tracker")
@@ -324,29 +324,40 @@ func main() {
 func batchDir(dir string, f *profile.Format, opts phase.Options, policy interval.GapPolicy, text, gmonout, salvage bool, parallel int, root *obs.Span) (*phase.Detection, []interval.Profile, *profile.Sample) {
 	var snaps []*profile.Sample
 	var err error
+	load := root.Child("incprof.load")
+	format, skipped := "", 0
 	switch {
 	case text:
+		format = "gprof-text"
 		snaps, err = incprof.LoadTextReports(dir)
 	case gmonout:
+		format = "gmon.out"
 		var st *incprof.GmonOutStore
 		st, err = incprof.NewGmonOutStore(dir)
 		if err == nil {
 			snaps, err = st.Snapshots()
 		}
 	default:
+		format = f.Name
 		var st *incprof.DirStore
 		st, err = incprof.NewFormatDirStore(dir, f)
-		if err == nil && salvage {
+		if err != nil {
+			break
+		}
+		st.Parallelism = parallel
+		if salvage {
 			var rep incprof.LoadReport
 			snaps, rep, err = st.SnapshotsSalvage()
+			skipped = len(rep.Skipped)
 			for _, sk := range rep.Skipped {
 				fmt.Printf("salvage: skipped %s (seq %d): %v\n", sk.Name, sk.Seq, sk.Err)
 			}
-		} else if err == nil {
+		} else {
 			snaps, err = st.Snapshots()
 		}
 	}
 	fail(err)
+	load.SetStr("format", format).SetInt("dumps", int64(len(snaps))).SetInt("skipped", int64(skipped)).End()
 	if len(snaps) == 0 {
 		fail(fmt.Errorf("no snapshots found in %s", dir))
 	}

@@ -26,8 +26,9 @@ import (
 
 	"github.com/incprof/incprof/internal/exec"
 	"github.com/incprof/incprof/internal/gmon"
-	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/obs"
+	"github.com/incprof/incprof/internal/par"
+	"github.com/incprof/incprof/internal/profile"
 	"github.com/incprof/incprof/internal/profiler"
 	"github.com/incprof/incprof/internal/vclock"
 )
@@ -252,6 +253,11 @@ func (m *MemStore) Snapshots() ([]*profile.Sample, error) {
 // frontend's encoding under its own file naming (pprof.out.N, perf.out.N,
 // ...); everything downstream of the load is format-blind.
 type DirStore struct {
+	// Parallelism bounds the workers that decode dumps on load, following
+	// par.Parallelism: 0 means GOMAXPROCS, 1 decodes serially. The loaded
+	// samples, errors and salvage report are identical at any value.
+	Parallelism int
+
 	dir         string
 	textReports bool
 	format      *profile.Format // nil: canonical gmon.out.N
@@ -363,10 +369,17 @@ func (d *DirStore) load(salvage bool) ([]*profile.Sample, LoadReport, error) {
 	if err != nil {
 		return nil, report, err
 	}
-	out := make([]*profile.Sample, 0, len(files))
-	for _, f := range files {
-		s, err := dec.decodeDump(filepath.Join(d.dir, f.name), f.seq)
-		if err != nil {
+	// Decode fans out by index, each index writing only its own slot; the
+	// fold below walks the slots in Seq order, so the samples, the strict
+	// error and the salvage report are the serial loop's at any parallelism.
+	snaps := make([]*profile.Sample, len(files))
+	errs := make([]error, len(files))
+	par.For(len(files), d.Parallelism, func(i int) {
+		snaps[i], errs[i] = dec.decodeDump(filepath.Join(d.dir, files[i].name), files[i].seq)
+	})
+	out := snaps[:0] // compacts in place: slot i is read before out[i] is written
+	for i, f := range files {
+		if err := errs[i]; err != nil {
 			report.Skipped = append(report.Skipped, SkippedFile{Name: f.name, Seq: f.seq, Err: err})
 			if salvage {
 				obs.C("incprof.salvage.skipped").Inc()
@@ -374,7 +387,7 @@ func (d *DirStore) load(salvage bool) ([]*profile.Sample, LoadReport, error) {
 			}
 			return nil, report, nil // strict caller reports Skipped[0]
 		}
-		out = append(out, s)
+		out = append(out, snaps[i])
 	}
 	report.Loaded = len(out)
 	if salvage {

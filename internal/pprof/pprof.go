@@ -34,6 +34,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/incprof/incprof/internal/profile"
@@ -100,38 +101,119 @@ func init() {
 
 type valueType struct{ typ, unit uint64 }
 
+// rawSample is one Sample message as the fold needs it: the first location
+// id (the leaf frame) and the values, which live back to back in
+// decodeScratch.values[off : off+n].
 type rawSample struct {
-	locs   []uint64
-	values []int64
+	leaf   uint64
+	hasLoc bool
+	off, n int
+}
+
+// acc accumulates one function's columns across the stacks it is leaf of.
+type acc struct {
+	name                string
+	samples, cpu, calls int64
+}
+
+// maxPooledBytes caps the payload buffers a scratch may keep: a scratch that
+// decoded a larger profile is dropped rather than pooled, so one outsized
+// dump does not pin its buffers and tables for the life of the process.
+const maxPooledBytes = 4 << 20
+
+// decodeScratch is the working memory of one Decode call. Decode takes one
+// from scratchPool and hands it back cleared, on every return path, so a
+// stream of dumps reuses one gzip/flate state, both payload buffers and the
+// tables instead of reallocating them per dump. No memory of it is reachable
+// from the returned Sample: names are copied out of the payload by
+// string(b).
+type decodeScratch struct {
+	in, raw  bytes.Buffer // compressed input, decompressed payload
+	br       bytes.Reader
+	gz       gzip.Reader
+	strtab   []string
+	samples  []rawSample
+	values   []int64           // every sample's values, back to back
+	uints    []uint64          // parseSample's per-field scratch
+	locFunc  map[uint64]uint64 // location id -> leaf function id
+	funcName map[uint64]uint64 // function id -> name index
+	byName   map[string]int    // function name -> index into accs
+	accs     []acc
+}
+
+var scratchPool = sync.Pool{New: func() any { return newDecodeScratch() }}
+
+func newDecodeScratch() *decodeScratch {
+	return &decodeScratch{
+		locFunc:  map[uint64]uint64{},
+		funcName: map[uint64]uint64{},
+		byName:   map[string]int{},
+	}
+}
+
+// reset clears sc for the next decode and reports whether it is small
+// enough to pool.
+func (sc *decodeScratch) reset() bool {
+	if sc.in.Cap()+sc.raw.Cap() > maxPooledBytes {
+		return false
+	}
+	sc.in.Reset()
+	sc.raw.Reset()
+	sc.br.Reset(nil)
+	clear(sc.strtab)
+	sc.strtab = sc.strtab[:0]
+	sc.samples = sc.samples[:0]
+	sc.values = sc.values[:0]
+	sc.uints = sc.uints[:0]
+	clear(sc.locFunc)
+	clear(sc.funcName)
+	clear(sc.byName)
+	clear(sc.accs)
+	sc.accs = sc.accs[:0]
+	return true
+}
+
+func (sc *decodeScratch) str(idx uint64) (string, error) {
+	if idx >= uint64(len(sc.strtab)) {
+		return "", fmt.Errorf("pprof: string index %d out of table (len %d)", idx, len(sc.strtab))
+	}
+	return sc.strtab[idx], nil
 }
 
 // Decode reads one pprof profile (gzip-compressed or raw proto) into a
-// cumulative Sample.
+// cumulative Sample. It is safe for concurrent use.
 func Decode(r io.Reader) (*profile.Sample, error) {
-	data, err := io.ReadAll(io.LimitReader(r, 1<<28))
-	if err != nil {
+	sc := scratchPool.Get().(*decodeScratch)
+	defer func() {
+		if sc.reset() {
+			scratchPool.Put(sc)
+		}
+	}()
+	return sc.decode(r)
+}
+
+func (sc *decodeScratch) decode(r io.Reader) (*profile.Sample, error) {
+	if _, err := sc.in.ReadFrom(io.LimitReader(r, 1<<28)); err != nil {
 		return nil, fmt.Errorf("pprof: reading payload: %w", err)
 	}
+	data := sc.in.Bytes()
 	if bytes.HasPrefix(data, gzipMagic) {
-		gz, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
+		sc.br.Reset(data)
+		if err := sc.gz.Reset(&sc.br); err != nil {
 			return nil, fmt.Errorf("pprof: opening gzip stream: %w", err)
 		}
-		data, err = io.ReadAll(io.LimitReader(gz, 1<<28))
-		if cerr := gz.Close(); err == nil && cerr != nil {
+		_, err := sc.raw.ReadFrom(io.LimitReader(&sc.gz, 1<<28))
+		if cerr := sc.gz.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
 		if err != nil {
 			return nil, fmt.Errorf("pprof: decompressing: %w", err)
 		}
+		data = sc.raw.Bytes()
 	}
 
 	var (
-		strtab      []string
 		sampleTypes []valueType
-		samples     []rawSample
-		locFunc     = map[uint64]uint64{} // location id -> leaf function id
-		funcName    = map[uint64]uint64{} // function id -> name index
 		timeNanos   int64
 		period      int64
 		periodType  valueType
@@ -153,7 +235,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			if err != nil {
 				return nil, err
 			}
-			strtab = append(strtab, string(b))
+			sc.strtab = append(sc.strtab, string(b))
 		case fSampleType, fPeriodType:
 			b, err := r0.bytes()
 			if err != nil {
@@ -173,11 +255,9 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			if err != nil {
 				return nil, err
 			}
-			s, err := parseSample(b)
-			if err != nil {
+			if err := sc.parseSample(b); err != nil {
 				return nil, err
 			}
-			samples = append(samples, s)
 		case fLocation:
 			b, err := r0.bytes()
 			if err != nil {
@@ -187,7 +267,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			if err != nil {
 				return nil, err
 			}
-			locFunc[id] = fn
+			sc.locFunc[id] = fn
 		case fFunction:
 			b, err := r0.bytes()
 			if err != nil {
@@ -197,7 +277,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			if err != nil {
 				return nil, err
 			}
-			funcName[id] = name
+			sc.funcName[id] = name
 		case fTimeNanos:
 			v, err := r0.varint()
 			if err != nil {
@@ -221,17 +301,10 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 		}
 	}
 
-	str := func(idx uint64) (string, error) {
-		if idx >= uint64(len(strtab)) {
-			return "", fmt.Errorf("pprof: string index %d out of table (len %d)", idx, len(strtab))
-		}
-		return strtab[idx], nil
-	}
-
 	// Resolve the value columns by sample_type name.
 	colSamples, colCPU, colCalls := -1, -1, -1
 	for i, vt := range sampleTypes {
-		name, err := str(vt.typ)
+		name, err := sc.str(vt.typ)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +317,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			colCalls = i
 		}
 	}
-	if colSamples < 0 && colCPU < 0 && len(samples) > 0 {
+	if colSamples < 0 && colCPU < 0 && len(sc.samples) > 0 {
 		return nil, fmt.Errorf("pprof: no samples/count or cpu/nanoseconds sample type (have %d types)", len(sampleTypes))
 	}
 
@@ -257,7 +330,8 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 	case period > 0:
 		unit := ""
 		if periodType != (valueType{}) {
-			if unit, err = str(periodType.unit); err != nil {
+			var err error
+			if unit, err = sc.str(periodType.unit); err != nil {
 				return nil, err
 			}
 		}
@@ -280,56 +354,49 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 	}
 
 	// Fold stacks to leaf functions, pprof's flat view.
-	type acc struct{ samples, cpu, calls int64 }
-	byName := map[string]*acc{}
-	for _, s := range samples {
-		if len(s.locs) == 0 {
+	for _, s := range sc.samples {
+		if !s.hasLoc {
 			continue
 		}
-		fnID, ok := locFunc[s.locs[0]]
+		fnID, ok := sc.locFunc[s.leaf]
 		if !ok {
-			return nil, fmt.Errorf("pprof: sample references unknown location %d", s.locs[0])
+			return nil, fmt.Errorf("pprof: sample references unknown location %d", s.leaf)
 		}
-		nameIdx, ok := funcName[fnID]
+		nameIdx, ok := sc.funcName[fnID]
 		if !ok {
-			return nil, fmt.Errorf("pprof: location %d references unknown function %d", s.locs[0], fnID)
+			return nil, fmt.Errorf("pprof: location %d references unknown function %d", s.leaf, fnID)
 		}
-		name, err := str(nameIdx)
+		name, err := sc.str(nameIdx)
 		if err != nil {
 			return nil, err
 		}
 		if name == "" {
 			return nil, fmt.Errorf("pprof: function %d has an empty name", fnID)
 		}
-		a := byName[name]
-		if a == nil {
-			a = &acc{}
-			byName[name] = a
+		i, ok := sc.byName[name]
+		if !ok {
+			i = len(sc.accs)
+			sc.byName[name] = i
+			sc.accs = append(sc.accs, acc{name: name})
 		}
-		take := func(col int) (int64, error) {
-			if col < 0 || col >= len(s.values) {
-				return 0, nil
-			}
-			if s.values[col] < 0 {
-				return 0, fmt.Errorf("pprof: negative sample value %d for %q", s.values[col], name)
-			}
-			return s.values[col], nil
-		}
+		a := &sc.accs[i]
+		vals := sc.values[s.off : s.off+s.n]
 		var v int64
-		if v, err = take(colSamples); err != nil {
+		if v, err = take(vals, colSamples, name); err != nil {
 			return nil, err
 		}
 		a.samples += v
-		if v, err = take(colCPU); err != nil {
+		if v, err = take(vals, colCPU, name); err != nil {
 			return nil, err
 		}
 		a.cpu += v
-		if v, err = take(colCalls); err != nil {
+		if v, err = take(vals, colCalls, name); err != nil {
 			return nil, err
 		}
 		a.calls += v
 	}
-	for name, a := range byName {
+	out.Funcs = make([]profile.FuncRecord, 0, len(sc.accs))
+	for _, a := range sc.accs {
 		if colSamples < 0 && a.cpu > 0 && out.SamplePeriod > 0 {
 			// Profiles lacking a samples/count column carry only cpu time;
 			// recover the histogram count from the period. Never applied
@@ -340,7 +407,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 			continue
 		}
 		out.Funcs = append(out.Funcs, profile.FuncRecord{
-			Name:     name,
+			Name:     a.name,
 			Samples:  a.samples,
 			SelfTime: time.Duration(a.cpu),
 			Calls:    a.calls,
@@ -350,7 +417,7 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 	// The sequence number, if the producer recorded one, rides the comment
 	// table as "seq=N".
 	for _, idx := range comments {
-		c, err := str(idx)
+		c, err := sc.str(idx)
 		if err != nil {
 			return nil, err
 		}
@@ -365,6 +432,18 @@ func Decode(r io.Reader) (*profile.Sample, error) {
 
 	out.Normalize()
 	return out, nil
+}
+
+// take reads one value column of a sample; a column the sample does not
+// carry reads as zero.
+func take(vals []int64, col int, name string) (int64, error) {
+	if col < 0 || col >= len(vals) {
+		return 0, nil
+	}
+	if vals[col] < 0 {
+		return 0, fmt.Errorf("pprof: negative sample value %d for %q", vals[col], name)
+	}
+	return vals[col], nil
 }
 
 func parseValueType(b []byte) (valueType, error) {
@@ -393,34 +472,40 @@ func parseValueType(b []byte) (valueType, error) {
 	return vt, nil
 }
 
-func parseSample(b []byte) (rawSample, error) {
-	var s rawSample
+// parseSample appends one Sample message to sc.samples, its values to
+// sc.values.
+func (sc *decodeScratch) parseSample(b []byte) error {
+	s := rawSample{off: len(sc.values)}
 	r := &wireReader{data: b}
-	var vals []uint64
 	for !r.done() {
 		num, wt, err := r.tag()
 		if err != nil {
-			return s, err
+			return err
 		}
 		switch num {
 		case sLocationID:
-			if s.locs, err = r.uints(wt, s.locs); err != nil {
-				return s, err
+			if sc.uints, err = r.uints(wt, sc.uints[:0]); err != nil {
+				return err
+			}
+			if !s.hasLoc && len(sc.uints) > 0 {
+				s.leaf, s.hasLoc = sc.uints[0], true
 			}
 		case sValue:
-			if vals, err = r.uints(wt, vals[:0]); err != nil {
-				return s, err
+			if sc.uints, err = r.uints(wt, sc.uints[:0]); err != nil {
+				return err
 			}
-			for _, v := range vals {
-				s.values = append(s.values, int64(v))
+			for _, v := range sc.uints {
+				sc.values = append(sc.values, int64(v))
 			}
 		default:
 			if err := r.skip(wt); err != nil {
-				return s, err
+				return err
 			}
 		}
 	}
-	return s, nil
+	s.n = len(sc.values) - s.off
+	sc.samples = append(sc.samples, s)
+	return nil
 }
 
 func parseLocation(b []byte) (id, fn uint64, err error) {

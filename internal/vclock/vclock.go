@@ -187,9 +187,10 @@ func (c *Clock) AdvanceTo(t Time) {
 	c.Advance(t.Sub(c.now))
 }
 
-// Step advances the clock by at most d, stopping early at the next pending
-// timer deadline. It fires the timers due at the new time and returns the
-// duration actually advanced. Step is the primitive the execution runtime
+// Step advances the clock by at most d, stopping early at the first pending
+// timer deadline after the current time. Timers already due fire before the
+// clock moves; Step then fires the timers due at the new time and returns
+// the duration actually advanced. Step is the primitive the execution runtime
 // uses to attribute work to the running function in pieces that respect
 // timer boundaries (profile samples, snapshot dumps).
 func (c *Clock) Step(d time.Duration) time.Duration {
@@ -204,10 +205,13 @@ func (c *Clock) StepFunc(d time.Duration, before func(step time.Duration, now Ti
 	if d < 0 {
 		panic("vclock: Step with negative duration")
 	}
+	// Timers scheduled for the current instant since the last Fire sit at
+	// the heap root; fire them before the clock moves so they observe their
+	// own deadline and the root becomes the first deadline after now.
+	c.Fire()
 	target := c.now.Add(d)
-	c.dropStopped()
-	if len(c.timers) > 0 && c.timers[0].when > c.now && c.timers[0].when < target {
-		target = c.timers[0].when
+	if next, ok := c.nextDeadlineAfter(c.now); ok && next < target {
+		target = next
 	}
 	step := target.Sub(c.now)
 	c.now = target
@@ -216,6 +220,28 @@ func (c *Clock) StepFunc(d time.Duration, before func(step time.Duration, now Ti
 	}
 	c.Fire()
 	return step
+}
+
+// nextDeadlineAfter returns the earliest live deadline strictly after t.
+// Outside a callback Step has already fired everything due, so this is the
+// heap root; inside one (Fire is not re-entrant) due timers may still sit
+// above the answer and the heap is scanned.
+func (c *Clock) nextDeadlineAfter(t Time) (Time, bool) {
+	c.dropStopped()
+	if len(c.timers) == 0 {
+		return 0, false
+	}
+	if c.timers[0].when > t {
+		return c.timers[0].when, true
+	}
+	var next Time
+	found := false
+	for _, tm := range c.timers {
+		if !tm.stopped && tm.when > t && (!found || tm.when < next) {
+			next, found = tm.when, true
+		}
+	}
+	return next, found
 }
 
 // PendingTimers reports the number of live (unstopped, unfired) timers.

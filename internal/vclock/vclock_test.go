@@ -140,6 +140,42 @@ func TestStepFiresDeadlineAtCurrentInstant(t *testing.T) {
 	}
 }
 
+// A timer scheduled for the current instant sits unfired at the heap root
+// until the next Step; it must not hide the later deadline behind it.
+func TestStepStopsAtDeadlineBehindDueTimer(t *testing.T) {
+	c := New()
+	c.Advance(time.Second)
+	var fired []Time
+	c.AtFunc(c.Now(), func(now Time) { fired = append(fired, now) })
+	c.AfterFunc(100*time.Millisecond, func(now Time) { fired = append(fired, now) })
+	if got := c.Step(700 * time.Millisecond); got != 100*time.Millisecond {
+		t.Fatalf("Step = %v, want 100ms (stop at the first deadline after now)", got)
+	}
+	want := []Time{Time(time.Second), Time(1100 * time.Millisecond)}
+	if len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+}
+
+// The same holds for a Step taken inside a callback, where the due timers
+// cannot fire until the outer Fire loop resumes.
+func TestStepFromCallbackStopsAtDeadlineBehindDueTimer(t *testing.T) {
+	c := New()
+	var got time.Duration
+	c.AfterFunc(time.Second, func(now Time) {
+		c.AtFunc(now, func(Time) {})
+		c.AtFunc(now.Add(100*time.Millisecond), func(Time) {})
+		got = c.Step(700 * time.Millisecond)
+	})
+	c.Advance(time.Second)
+	if got != 100*time.Millisecond {
+		t.Fatalf("nested Step = %v, want 100ms", got)
+	}
+	if n := c.PendingTimers(); n != 0 {
+		t.Fatalf("%d timers left pending, want 0", n)
+	}
+}
+
 func TestAdvanceToIsIdempotentBackwards(t *testing.T) {
 	c := New()
 	c.Advance(5 * time.Second)
